@@ -1,0 +1,91 @@
+//! Golden cell digests: the reproduction's simulated numbers, pinned.
+//!
+//! `tests/golden/cells.txt` holds one journal record line
+//! ([`format_record_line`] over [`encode_result`], so every `f64`
+//! travels as its exact bits and each line carries a checksum) per
+//! cell: the first Table 2 mix of each workload group under every
+//! policy, at a short quota, through the production sweep path
+//! ([`run_cells`]). Any change that moves a simulated number — in the
+//! pipeline, the memory hierarchy, the predictor, the workload
+//! generator or the sweep plumbing — fails here.
+//!
+//! On a mismatch the test prints the recomputed file. A change that
+//! moves numbers on purpose replaces the file with that output in the
+//! same commit and says why.
+
+use rat_bench::{run_cells, SweepCell, SweepSession};
+use rat_core::smt::{PolicyKind, SmtConfig};
+use rat_core::store::{encode_result, format_record_line};
+use rat_core::workload::{mixes_for_group, ALL_GROUPS};
+use rat_core::{CellKey, RunConfig, Runner};
+
+const GOLDEN: &str = include_str!("golden/cells.txt");
+
+const POLICIES: [PolicyKind; 7] = [
+    PolicyKind::RoundRobin,
+    PolicyKind::Icount,
+    PolicyKind::Stall,
+    PolicyKind::Flush,
+    PolicyKind::Dcra,
+    PolicyKind::Hill,
+    PolicyKind::Rat,
+];
+
+/// Recomputes the golden file's contents.
+fn recompute() -> String {
+    let runner = Runner::new(
+        SmtConfig::hpca2008_baseline(),
+        RunConfig {
+            insts_per_thread: 1_500,
+            warmup_insts: 700,
+            seed: 42,
+            ..RunConfig::default()
+        },
+    );
+    let mut cells = Vec::new();
+    for &group in ALL_GROUPS {
+        let mix = mixes_for_group(group).swap_remove(0);
+        for policy in POLICIES {
+            cells.push(SweepCell {
+                runner: &runner,
+                mix: mix.clone(),
+                policy,
+            });
+        }
+    }
+    let report = run_cells(&cells, 2, &SweepSession::none());
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let mut out = String::new();
+    for (cell, result) in cells.iter().zip(&report.results) {
+        let key = CellKey::new(
+            runner.config_fingerprint(),
+            &cell.mix,
+            cell.policy,
+            runner.run_config().seed,
+        );
+        let words = encode_result(result.as_ref().expect("no failures"));
+        out.push_str(&format_record_line(&key, &words));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn cells_match_golden_digests() {
+    let actual = recompute();
+    if actual != GOLDEN {
+        let lines = |s: &str| s.lines().count();
+        let differing = actual
+            .lines()
+            .zip(GOLDEN.lines())
+            .filter(|(a, g)| a != g)
+            .count();
+        panic!(
+            "simulated cells differ from tests/golden/cells.txt \
+             ({differing} differing line(s); {} recomputed vs {} golden).\n\
+             Recomputed file:\n{actual}",
+            lines(&actual),
+            lines(GOLDEN)
+        );
+    }
+}
