@@ -567,9 +567,6 @@ impl SmtSimulator {
             if all {
                 return true;
             }
-            if self.now >= deadline {
-                return false;
-            }
             // Demote finished threads only once a *single* thread is
             // still measuring. While two or more measurement windows
             // are open, every thread stays at full fidelity — finished
@@ -602,6 +599,14 @@ impl SmtSimulator {
                         }
                     }
                 }
+            }
+            // The deadline return comes *after* the demotion:
+            // `newly_at_quota` fires only on the cycle a thread crosses
+            // its quota, so returning first on a slice's last cycle
+            // would skip that thread's demotion for good, and a sliced
+            // run would drift from an unsliced one.
+            if self.now >= deadline {
+                return false;
             }
             // Probe for a jump only after an idle cycle: a cycle that
             // performed work cannot have been quiescent, and the scan

@@ -16,7 +16,7 @@ use rat_bench::{run_cells, SweepCell, SweepSession};
 use rat_core::smt::{PolicyKind, SmtConfig};
 use rat_core::store::encode_result;
 use rat_core::workload::{mixes_for_group, Mix, WorkloadGroup};
-use rat_core::{CellErrorKind, ResultStore, RunConfig, Runner};
+use rat_core::{CellErrorKind, ResultStore, RunConfig, Runner, StepOutcome, SLICE_CYCLES};
 
 fn tiny_runner() -> Runner {
     Runner::new(
@@ -189,4 +189,36 @@ fn timed_out_cells_recompute_on_rerun() {
     assert!(second.failures.is_empty());
     assert_eq!(second.replayed, 0, "nothing was journaled by timeouts");
     assert_eq!(second.computed, cells.len());
+}
+
+/// Slicing a cell is invisible even when a thread reaches its quota on
+/// a slice's last cycle. Under DCRA at the default quota, ILP2
+/// (apsi+eon) with seed 2 has its first thread finish exactly on a
+/// 1,000-cycle slice boundary; the tail-drain demotion that follows
+/// must still happen, or the sliced run drifts from the unsliced one.
+#[test]
+fn slice_boundary_at_quota_keeps_drain_demotion() {
+    let runner = Runner::new(
+        SmtConfig::hpca2008_baseline(),
+        RunConfig {
+            seed: 2,
+            ..RunConfig::default()
+        },
+    );
+    let mix = &mixes_for_group(WorkloadGroup::Ilp2)[0];
+    assert_eq!(mix.to_string(), "ILP2(apsi+eon)");
+    let plain = encode_result(&runner.run_mix(mix, PolicyKind::Dcra));
+    for slice in [1_000, 997, SLICE_CYCLES] {
+        let mut run = runner.begin_mix(mix, PolicyKind::Dcra);
+        let sliced = loop {
+            if let StepOutcome::Finished(r) = run.step(slice) {
+                break r;
+            }
+        };
+        assert_eq!(
+            encode_result(&sliced),
+            plain,
+            "{slice}-cycle slices must match the unsliced run"
+        );
+    }
 }
