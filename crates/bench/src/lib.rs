@@ -16,12 +16,10 @@
 //! kill, and `--fault-plan` drives the deterministic fault-injection
 //! harness that tests all of the above.
 
-pub mod batch;
 pub mod cli;
 pub mod sweep;
 pub mod table;
 
-pub use batch::{run_batch, BatchOptions};
 pub use cli::HarnessArgs;
 pub use sweep::{
     emit_truncation_note, mark_row_label, policy_matrix, report_failures, run_cells,

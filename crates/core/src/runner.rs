@@ -4,7 +4,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use rat_isa::Cpu;
 use rat_mem::MemEventStats;
 use rat_smt::{PolicyKind, SmtConfig, SmtSimulator, ThreadStats};
 use rat_workload::{Benchmark, Mix, ThreadImage};
@@ -118,10 +117,9 @@ pub struct GroupSummary {
     pub incomplete: usize,
 }
 
-/// Cycles simulated between watchdog/scheduler checks (~0.1 s of wall
-/// clock at the simulator's typical Mcycles/s). Both the `--cell-timeout`
-/// watchdog and the batch engine's lockstep round-robin use this as
-/// their scheduling quantum.
+/// Cycles simulated between wall-clock checks (~0.1 s of wall clock at
+/// the simulator's typical Mcycles/s): the `--cell-timeout` watchdog and
+/// request deadlines slice a cell's [`MixRun`] in steps of this size.
 pub const SLICE_CYCLES: u64 = 100_000;
 
 /// Which phase a [`MixRun`] is in.
@@ -148,9 +146,10 @@ pub enum StepOutcome {
 /// An in-flight simulation of one mix under one policy, advanced in
 /// caller-bounded cycle slices — the resumable form of
 /// [`Runner::run_mix`]. Slicing is free: `run_until_quota` is resumable,
-/// so the finished [`MixResult`] is bit-identical at any slice schedule
-/// (the property the `--cell-timeout` watchdog already relied on, now
-/// shared with the batch engine's lockstep scheduler).
+/// including across a slice that ends on the cycle a thread reaches its
+/// quota, so the finished [`MixResult`] is bit-identical at any slice
+/// schedule (`tests/cell_timeout.rs`). The `--cell-timeout` watchdog
+/// relies on this.
 pub struct MixRun<'a> {
     runner: &'a Runner,
     sim: SmtSimulator,
@@ -399,16 +398,16 @@ impl Runner {
         &self.run
     }
 
+    /// Builds the simulator for `benches` under `policy`; thread `i`
+    /// runs the image of `(benches[i], seed + i)`, generated through the
+    /// lane-parallel wide path (bit-identical to
+    /// [`ThreadImage::generate`], which stays its test oracle).
     fn build_sim(&self, benches: &[Benchmark], policy: PolicyKind, seed: u64) -> SmtSimulator {
         let cpus = benches
             .iter()
             .enumerate()
-            .map(|(i, &b)| ThreadImage::generate(b, seed + i as u64).build_cpu())
+            .map(|(i, &b)| ThreadImage::generate_wide(b, seed + i as u64).build_cpu())
             .collect();
-        self.sim_from_cpus(policy, cpus)
-    }
-
-    fn sim_from_cpus(&self, policy: PolicyKind, cpus: Vec<Cpu>) -> SmtSimulator {
         let mut cfg = self.smt;
         cfg.policy = policy;
         let mut sim = SmtSimulator::new(cfg, cpus);
@@ -421,27 +420,12 @@ impl Runner {
     /// advances it in bounded cycle slices with [`MixRun::step`]. The
     /// finished result is bit-identical to [`Runner::run_mix`] at any
     /// slicing (`run_until_quota` is resumable; `tests/cell_timeout.rs`
-    /// and `tests/batch_lockstep.rs` enforce this), which is what lets
-    /// the batch engine round-robin many cells on one thread.
+    /// enforces this), which is what lets the watchdog and request
+    /// deadlines check the wall clock between slices.
     pub fn begin_mix(&self, mix: &Mix, policy: PolicyKind) -> MixRun<'_> {
-        let sim = self.build_sim(&mix.benchmarks, policy, self.run.seed);
-        self.mix_run(sim, mix, policy)
-    }
-
-    /// [`Runner::begin_mix`] over caller-built CPU contexts. For a
-    /// bit-identical run, `cpus` must be what [`ThreadImage::generate`]
-    /// `(bench_i, seed + i)` + `build_cpu()` would produce — the batch
-    /// engine guarantees that by building from a cache of exactly those
-    /// images (generated via the bit-identical wide path).
-    pub fn begin_mix_with_cpus(&self, mix: &Mix, policy: PolicyKind, cpus: Vec<Cpu>) -> MixRun<'_> {
-        let sim = self.sim_from_cpus(policy, cpus);
-        self.mix_run(sim, mix, policy)
-    }
-
-    fn mix_run(&self, sim: SmtSimulator, mix: &Mix, policy: PolicyKind) -> MixRun<'_> {
         MixRun {
             runner: self,
-            sim,
+            sim: self.build_sim(&mix.benchmarks, policy, self.run.seed),
             mix: mix.clone(),
             policy,
             phase: MixPhase::Warmup,

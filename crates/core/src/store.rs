@@ -14,9 +14,11 @@
 //! self-contained line carrying its own FNV-1a checksum, appended with a
 //! single `write_all`; whole-file rewrites (creation, and compaction
 //! after quarantining corruption) go through a tmp-file + atomic rename
-//! ([`atomic_write`]). On load, any line that fails to parse or
-//! checksum — a torn tail from a kill mid-append, a flipped bit, a
-//! truncated record — is **quarantined**: counted, appended verbatim to
+//! with the file fsynced before the rename and its directory after
+//! ([`atomic_write`]), so a rewrite survives power loss. Appends are
+//! not fsynced. On load, any line that fails to parse or checksum — a
+//! torn tail from a kill mid-append, a flipped bit, a truncated record
+//! — is **quarantined**: counted, appended verbatim to
 //! `<path>.quarantine` for post-mortem, and dropped from the journal,
 //! so the owning cell is simply recomputed. Corruption is never
 //! silently served and never aborts the sweep.
@@ -79,19 +81,40 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Writes `bytes` to `path` atomically: a unique tmp file in the same
-/// directory, then `rename` — readers see the old contents or the new,
-/// never a partial write.
+/// Writes `bytes` to `path` atomically and durably: a unique tmp file
+/// in the same directory, fsynced, then `rename`, then an fsync of the
+/// directory. Readers see the old contents or the new, never a partial
+/// write, and once this returns `Ok` the new contents survive power
+/// loss, not only a killed process.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = replaced {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
+    sync_parent_dir(path)
+}
+
+/// Fsyncs the directory holding `path`, persisting a rename into it.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for fsync here; the rename stands.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// The content address of one sweep cell: everything its `MixResult`
@@ -827,12 +850,30 @@ mod tests {
         let _ = std::fs::remove_file(store.quarantine_path());
     }
 
+    /// The tmp file [`atomic_write`] stages `path`'s contents in.
+    fn tmp_sibling(path: &Path) -> PathBuf {
+        path.with_extension(format!("tmp.{}", std::process::id()))
+    }
+
     #[test]
     fn atomic_write_replaces_contents() {
         let path = tmp("atomic");
         atomic_write(&path, b"first").unwrap();
         atomic_write(&path, b"second").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        assert!(!tmp_sibling(&path).exists(), "the tmp file is renamed away");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_atomic_write_leaves_no_tmp_file() {
+        // The target is a directory, so the rename fails after the tmp
+        // file was written and synced.
+        let dir = tmp("atomic_dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(atomic_write(&dir, b"never lands").is_err());
+        assert!(!tmp_sibling(&dir).exists());
+        assert!(dir.is_dir());
+        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -328,13 +328,6 @@ impl InstrTable {
         self.fe_len as usize
     }
 
-    /// Whether the thread has no in-flight ROB entries.
-    #[allow(dead_code)] // used by pipeline tests
-    #[inline]
-    pub fn rob_is_empty(&self) -> bool {
-        self.rob_len == 0
-    }
-
     /// Sequence number of the oldest ROB entry (meaningful when
     /// `rob_len() > 0`; otherwise the next seq to be promoted).
     #[inline]
@@ -554,7 +547,7 @@ mod tests {
         assert_eq!(t.fe_front_seq(), Some(11));
         assert_eq!(t.rob_front_seq(), 10);
         t.rob_pop_front();
-        assert!(t.rob_is_empty());
+        assert_eq!(t.rob_len(), 0);
         assert_eq!(t.sched[slot], ST_FREE);
         t.check_invariants();
     }
@@ -571,7 +564,7 @@ mod tests {
             t.sched[slot] = sched_word(1 + t.front[slot].seq, 0, 0, ST_DONE);
         }
         t.rob_pop_front(); // commit seq 0
-        while !t.rob_is_empty() {
+        while t.rob_len() > 0 {
             t.rob_pop_back();
         }
         t.fe_clear();

@@ -147,7 +147,7 @@ fn register_leak_free_after_runahead() {
     // exit sweep).
     for _ in 0..100_000 {
         sim.cycle();
-        if sim.threads[0].instrs.rob_is_empty() && sim.threads[0].mode == ExecMode::Normal {
+        if sim.threads[0].instrs.rob_len() == 0 && sim.threads[0].mode == ExecMode::Normal {
             break;
         }
     }

@@ -2,7 +2,7 @@
 
 use rat_isa::{ArchReg, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};
 
-use crate::types::{PhysReg, RegClass};
+use crate::types::PhysReg;
 
 /// A thread's rename state: the speculative front-end map (`fmap`, updated
 /// at rename) and the architectural map (`amap`, updated at commit).
@@ -44,16 +44,6 @@ impl RenameTables {
         }
     }
 
-    /// Architectural (committed) mapping of `reg`.
-    #[allow(dead_code)] // API completeness; used by unit tests
-    #[inline]
-    pub fn lookup_arch(&self, reg: ArchReg) -> PhysReg {
-        match reg {
-            ArchReg::Int(r) => self.amap_int[r.index()],
-            ArchReg::Fp(r) => self.amap_fp[r.index()],
-        }
-    }
-
     /// Renames `reg` to `p`, returning the previous speculative mapping
     /// (recorded in the ROB entry for walk-back recovery).
     #[inline]
@@ -89,25 +79,6 @@ impl RenameTables {
         self.fmap_int = self.amap_int;
         self.fmap_fp = self.amap_fp;
     }
-
-    /// Iterates over the architectural map of one class (pipeline reset
-    /// and invariants checks).
-    #[allow(dead_code)]
-    pub fn arch_map(&self, class: RegClass) -> &[PhysReg] {
-        match class {
-            RegClass::Int => &self.amap_int,
-            RegClass::Fp => &self.amap_fp,
-        }
-    }
-
-    /// Iterates over the speculative map of one class.
-    #[allow(dead_code)]
-    pub fn spec_map(&self, class: RegClass) -> &[PhysReg] {
-        match class {
-            RegClass::Int => &self.fmap_int,
-            RegClass::Fp => &self.fmap_fp,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +100,8 @@ mod tests {
         let prev = t.rename(r5, 42);
         assert_eq!(prev, 5);
         assert_eq!(t.lookup(r5), 42);
-        assert_eq!(t.lookup_arch(r5), 5, "amap unchanged until commit");
+        t.reset_to_arch();
+        assert_eq!(t.lookup(r5), 5, "amap unchanged until commit");
     }
 
     #[test]
@@ -139,7 +111,9 @@ mod tests {
         t.rename(f3, 200);
         let old = t.commit(f3, 200);
         assert_eq!(old, 103);
-        assert_eq!(t.lookup_arch(f3), 200);
+        t.rename(f3, 201);
+        t.reset_to_arch();
+        assert_eq!(t.lookup(f3), 200);
     }
 
     #[test]
@@ -161,6 +135,9 @@ mod tests {
         t.reset_to_arch();
         assert_eq!(t.lookup(r1), 1);
         assert_eq!(t.lookup(f1), 101);
-        assert_eq!(t.spec_map(RegClass::Int), t.arch_map(RegClass::Int));
+        for i in 0..32 {
+            assert_eq!(t.lookup(ArchReg::Int(IntReg::new(i))), i as PhysReg);
+            assert_eq!(t.lookup(ArchReg::Fp(FpReg::new(i))), 100 + i as PhysReg);
+        }
     }
 }

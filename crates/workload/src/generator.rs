@@ -65,8 +65,8 @@ impl ThreadImage {
     /// the lane-parallel RNG block path ([`WorkloadRng::next_block`])
     /// and bulk page writes — bit-identical output (the scalar path is
     /// the oracle; see `crates/workload/tests/wide_rng.rs`), several
-    /// times faster on the multi-megabyte MEM working sets. The batch
-    /// engine's image cache generates through this.
+    /// times faster on the multi-megabyte MEM working sets. Every sweep
+    /// cell's images are generated through this (`Runner::build_sim`).
     pub fn generate_wide(bench: Benchmark, seed: u64) -> Self {
         let mut g = Generator::new(bench.profile(), seed);
         g.wide_fill = true;

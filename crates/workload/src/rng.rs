@@ -6,9 +6,9 @@
 //! pair must produce the identical program on every host and toolchain,
 //! which a fully specified in-repo generator guarantees.
 //!
-//! Two lane-parallel forms ride on the same algorithm (the batch
-//! engine's image generator uses them; `crates/workload/tests/wide_rng.rs`
-//! proves both bit-identical to the scalar stream):
+//! Two lane-parallel forms ride on the same algorithm
+//! (`crates/workload/tests/wide_rng.rs` proves both bit-identical to the
+//! scalar stream):
 //!
 //! * [`WorkloadRng::next_block`] — the next `k` outputs of *one* stream,
 //!   computed lane-parallel. splitmix64 advances its state by a fixed
@@ -53,8 +53,8 @@ impl WorkloadRng {
     /// bit-identical to that many [`WorkloadRng::next_u64`] calls, but
     /// without a loop-carried dependence: within each chunk the lane
     /// states are `state + (i+1)·GAMMA` and the mix applies per lane,
-    /// a shape the autovectorizer lowers to SIMD. Used by the batch
-    /// engine's wide image-generation path.
+    /// a shape the autovectorizer lowers to SIMD. Used by the wide
+    /// image-generation path (`ThreadImage::generate_wide`).
     pub fn next_block(&mut self, out: &mut [u64]) {
         const LANES: usize = 8;
         let mut chunks = out.chunks_exact_mut(LANES);
