@@ -3,11 +3,9 @@
 //! Every perf-oriented PR is judged against this harness: it times a
 //! fixed set of representative (mix × policy) cells — one per figure
 //! regime, with cycle-skip ablation pairs on the memory-bound mix where
-//! skipping matters most, fetch-replay ablation pairs on the RaT
-//! cells where squash re-execution dominates, post-quota-drain ablation
-//! pairs on the cells with the worst FAME overshoot (a fast thread
-//! retiring many times its quota at full fidelity just to keep
-//! contending), and RaT / ICOUNT / FLUSH
+//! skipping matters most, post-quota-drain ablation pairs on the cells
+//! with the worst FAME overshoot (a fast thread retiring many times its
+//! quota at full fidelity just to keep contending), and RaT / ICOUNT / FLUSH
 //! coverage on the ILP and MIX groups so gains outside the tracked
 //! memory-bound cells stay visible — prints a table, and
 //! writes the results to a JSON artifact (default `BENCH_7.json`) of
@@ -27,10 +25,9 @@
 //!   resident 64-bit memory words generated (there is no simulation),
 //!   so cycles/sec reads as words/sec.
 //!
-//! The simulated *numbers* are identical with and without `noskip` /
-//! `noreplay` (enforced by `tests/cycle_skip.rs` and
-//! `tests/replay_cache.rs`); only wall-clock differs, which is exactly
-//! what this harness measures. The `nodrain` pairs are different:
+//! The simulated *numbers* are identical with and without `noskip`
+//! (enforced by `tests/cycle_skip.rs`); only wall-clock differs, which
+//! is exactly what this harness measures. The `nodrain` pairs are different:
 //! per-thread measurement windows still match bit-exactly, but the
 //! post-overlap shared-resource timing drifts within the bound measured
 //! by `tests/quota_drain.rs`, so `nodrain` cells also differ slightly
@@ -53,13 +50,12 @@ use rat_smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_workload::{mixes_for_group, ThreadImage, WorkloadGroup, ALL_BENCHMARKS};
 
 /// One benchmark cell: a Table 2 mix under a policy, with or without
-/// cycle skipping / fetch replay / post-quota drain.
+/// cycle skipping / post-quota drain.
 struct BenchSpec {
     name: &'static str,
     group: WorkloadGroup,
     policy: PolicyKind,
     no_skip: bool,
-    no_replay: bool,
     no_drain: bool,
 }
 
@@ -74,18 +70,6 @@ const fn spec(
         group,
         policy,
         no_skip,
-        no_replay: false,
-        no_drain: false,
-    }
-}
-
-const fn spec_noreplay(name: &'static str, group: WorkloadGroup, policy: PolicyKind) -> BenchSpec {
-    BenchSpec {
-        name,
-        group,
-        policy,
-        no_skip: false,
-        no_replay: true,
         no_drain: false,
     }
 }
@@ -96,7 +80,6 @@ const fn spec_nodrain(name: &'static str, group: WorkloadGroup, policy: PolicyKi
         group,
         policy,
         no_skip: false,
-        no_replay: false,
         no_drain: true,
     }
 }
@@ -138,10 +121,8 @@ const BENCHES: &[BenchSpec] = &[
         PolicyKind::Rat,
         true,
     ),
-    spec_noreplay("mem4_rat_noreplay", WorkloadGroup::Mem4, PolicyKind::Rat),
     spec_nodrain("mem4_rat_nodrain", WorkloadGroup::Mem4, PolicyKind::Rat),
     spec("mix4_rat", WorkloadGroup::Mix4, PolicyKind::Rat, false),
-    spec_noreplay("mix4_rat_noreplay", WorkloadGroup::Mix4, PolicyKind::Rat),
     spec_nodrain("mix4_rat_nodrain", WorkloadGroup::Mix4, PolicyKind::Rat),
     spec(
         "mix4_icount",
@@ -234,7 +215,6 @@ fn run_bench(s: &BenchSpec, args: &Args) -> BenchResult {
         .collect();
     let mut sim = SmtSimulator::new(cfg, cpus);
     sim.set_cycle_skip(!s.no_skip);
-    sim.set_fetch_replay(!s.no_replay);
 
     // Time the whole simulation (warmup + measurement): the figure
     // sweeps pay for both phases. Warmup always runs at full fidelity;
@@ -516,18 +496,6 @@ fn main() {
         "mem4_rat",
         "mem4_rat_noskip",
         "MEM4, RaT, cycle-skip",
-    );
-    speedup_line(
-        &results,
-        "mem4_rat",
-        "mem4_rat_noreplay",
-        "MEM4, RaT replay",
-    );
-    speedup_line(
-        &results,
-        "mix4_rat",
-        "mix4_rat_noreplay",
-        "MIX4, RaT replay",
     );
     speedup_line(
         &results,

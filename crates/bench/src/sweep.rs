@@ -439,8 +439,8 @@ mod tests {
                 max_cycles: 50_000_000,
                 seed: 11,
                 no_skip: false,
-                no_replay: false,
                 no_drain: false,
+                ..RunConfig::default()
             },
         )
     }

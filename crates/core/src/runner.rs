@@ -28,10 +28,9 @@ pub struct RunConfig {
     /// every cycle (the `--no-skip` ablation reference). Results are
     /// bit-identical either way; only wall-clock time differs.
     pub no_skip: bool,
-    /// Disable the simulator's fetch-replay memoization and functionally
-    /// re-execute every squashed span (the `--no-replay` ablation
-    /// reference). Results are bit-identical either way (enforced by
-    /// `tests/replay_cache.rs`); only wall-clock time differs.
+    /// Must be `false`. A retired switch for the removed eager
+    /// re-execution fetch path, kept so existing `RunConfig` users
+    /// still build; [`SmtSimulator::set_fetch_replay`] rejects `true`.
     pub no_replay: bool,
     /// Disable post-quota drain mode and keep every thread at full
     /// fidelity until the slowest reaches its quota (the `--no-drain`
@@ -343,8 +342,8 @@ impl Runner {
     /// [`crate::store::CellKey`] component) and the measurement
     /// methodology. Differs from the ST fingerprint in covering the
     /// drain ablation, which changes multithreaded (but not
-    /// single-thread) timing; the bit-identical `no_skip`/`no_replay`
-    /// ablations stay excluded.
+    /// single-thread) timing; the bit-identical `no_skip` ablation stays
+    /// excluded.
     pub fn config_fingerprint(&self) -> u64 {
         let mut cfg = self.smt;
         cfg.policy = PolicyKind::Icount;
@@ -672,8 +671,8 @@ mod tests {
             max_cycles: 50_000_000,
             seed: 7,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
+            ..RunConfig::default()
         }
     }
 
@@ -849,8 +848,8 @@ mod tests {
             max_cycles: 5_000,
             seed: 7,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
+            ..RunConfig::default()
         };
         let runner = Runner::new(SmtConfig::hpca2008_baseline(), run);
         let mix = &mixes_for_group(WorkloadGroup::Ilp2)[0];
@@ -873,8 +872,8 @@ mod tests {
             max_cycles: 5_000,
             seed: 7,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
+            ..RunConfig::default()
         };
         let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), run);
         runner.capture_warnings();

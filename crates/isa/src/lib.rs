@@ -15,9 +15,10 @@
 //! The emulator ([`Cpu`]) is *execute-at-fetch* friendly: each call to
 //! [`Cpu::step`] executes exactly one instruction and returns an
 //! [`ExecRecord`] carrying everything a timing model needs (effective
-//! address, branch outcome, next PC). Memory writes can be captured in an
-//! undo log ([`SparseMemory::begin_undo`]) so that a runahead episode can be
-//! rolled back exactly.
+//! address, branch outcome, next PC). It only ever steps forward: the
+//! execution is deterministic over the thread's private memory, so a
+//! timing model that squashes work re-fetches the squashed span from the
+//! recorded stream instead of rolling the emulator back.
 //!
 //! # Example
 //!
@@ -42,8 +43,8 @@ mod memory;
 mod program;
 mod reg;
 
-pub use exec::{ArchSnapshot, ArchState, Cpu, ExecRecord};
+pub use exec::{ArchState, Cpu, ExecRecord};
 pub use inst::{AluOp, BranchCond, FpOp, Instruction, InstructionKind, Operand};
-pub use memory::{SparseMemory, UndoToken};
+pub use memory::SparseMemory;
 pub use program::{Pc, Program};
 pub use reg::{ArchReg, FpReg, IntReg, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};

@@ -22,8 +22,8 @@ fn main() {
         max_cycles: 200_000_000,
         seed: 42,
         no_skip: false,
-        no_replay: false,
         no_drain: false,
+        ..RunConfig::default()
     };
     let mut ucfg = SmtConfig::hpca2008_baseline();
     ucfg.hierarchy = HierarchyConfig::hpca2008_baseline().unlimited_bandwidth();

@@ -52,7 +52,7 @@ use rat_mem::Hierarchy;
 
 use crate::config::{RunaheadVariant, SmtConfig};
 use crate::frontend::OracleThread;
-use crate::instr_table::{sched_iq, sched_stage, InstrTable, ST_DONE, ST_WAIT};
+use crate::instr_table::{sched_iq, sched_stage, InstrTable, F_TAKEN, ST_DONE, ST_WAIT};
 use crate::rename::RenameTables;
 use crate::stats::{SimStats, ThreadStats};
 use crate::store_set::StoreSet;
@@ -284,21 +284,18 @@ impl SmtSimulator {
         }
     }
 
-    /// Enables or disables fetch-replay memoization (on by default).
+    /// Kept for callers built against the old fetch-replay ablation
+    /// switch: the fetch oracle always serves squashed spans from its
+    /// record buffer, so `true` is a no-op and `false` is a usage error.
     ///
-    /// With replay on, every squash (runahead exit, FLUSH) rewinds the
-    /// fetch oracle by moving a cursor into a per-thread seq-indexed
-    /// replay buffer; the squashed span is then re-fetched from memoized
-    /// [`rat_isa::ExecRecord`]s instead of functionally re-executed, and the
-    /// memory write journal is neither rolled back nor re-recorded. The
-    /// oracle is deterministic over private state, so the served records
-    /// are bit-identical to what re-execution would compute — enforced
-    /// by `tests/replay_cache.rs` across all policies; `false` is the
-    /// `--no-replay` ablation reference.
+    /// # Panics
+    ///
+    /// Panics if `enabled` is `false`.
     pub fn set_fetch_replay(&mut self, enabled: bool) {
-        for t in &mut self.threads {
-            t.oracle.set_replay(enabled);
-        }
+        assert!(
+            enabled,
+            "the eager re-execution fetch path was removed; fetch replay is always on"
+        );
     }
 
     /// Enables or disables cycle skipping (on by default).
@@ -395,8 +392,11 @@ impl SmtSimulator {
     /// Checks the cross-structure lifecycle invariants: each thread's
     /// instruction-table window/slot consistency, agreement between the
     /// shared-ROB occupancy budget and the tables' ring windows,
-    /// agreement between the fetch oracle and the fetch window, and
-    /// issue-queue occupancy accounting against live `WaitIssue` slots.
+    /// agreement between the fetch oracle and the fetch window, the
+    /// fetch-time copies in every fetch-buffer and ROB entry (PC, branch
+    /// direction, effective address) against the oracle's record for
+    /// that sequence number, and issue-queue occupancy accounting
+    /// against live `WaitIssue` slots.
     ///
     /// Exercised by the property tests in `tests/properties.rs` over
     /// random policy×mix runs; cheap enough to call every few thousand
@@ -462,6 +462,25 @@ impl SmtSimulator {
                 t.instrs.next_fetch_seq(),
                 "thread {tid}: oracle fetch point disagrees with the fetch window"
             );
+            for seq in t.instrs.rob_seqs().chain(t.instrs.fe_seqs()) {
+                let slot = t.instrs.slot_of(seq);
+                let (meta, front) = (t.instrs.meta[slot], t.instrs.front[slot]);
+                let rec = t.oracle.record(seq);
+                assert_eq!(
+                    meta.pc, rec.pc,
+                    "thread {tid}: seq {seq} PC disagrees with its record"
+                );
+                assert_eq!(
+                    meta.flags & F_TAKEN != 0,
+                    rec.taken,
+                    "thread {tid}: seq {seq} branch direction disagrees with its record"
+                );
+                assert_eq!(
+                    front.eff_addr,
+                    rec.eff_addr.unwrap_or(0),
+                    "thread {tid}: seq {seq} effective address disagrees with its record"
+                );
+            }
             let mut iq_counts = [0usize; 3];
             for seq in t.instrs.rob_seqs() {
                 let s = t.instrs.sched[t.instrs.slot_of(seq)];

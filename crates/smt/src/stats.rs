@@ -121,12 +121,10 @@ pub struct SimStats {
     pub skipped_cycles: Cycle,
     /// Number of contiguous skip jumps performed (cumulative).
     pub skip_spans: u64,
-    /// Fetches served from the per-thread replay buffers instead of
-    /// functional re-execution (cumulative, warmup included). Like
-    /// `skipped_cycles`, purely a simulator-performance diagnostic:
-    /// replayed records are bit-identical to what re-execution would
-    /// compute, so all other statistics match the `--no-replay`
-    /// ablation exactly.
+    /// Fetches served from the fetch oracles' record buffers instead of
+    /// live functional execution (cumulative, warmup included): the
+    /// re-fetches of squashed spans. Like `skipped_cycles`, purely a
+    /// simulator-performance diagnostic.
     pub fetch_replays: u64,
     /// Snapshot of each thread's counters taken the cycle its quota was
     /// reached (before any post-quota accounting, in particular before a

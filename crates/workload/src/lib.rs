@@ -43,4 +43,4 @@ mod rng;
 pub use generator::ThreadImage;
 pub use mixes::{mixes_for_group, Mix, WorkloadGroup, ALL_GROUPS};
 pub use profile::{Benchmark, BenchmarkProfile, ThreadClass, ALL_BENCHMARKS};
-pub use rng::{WideRng, WorkloadRng};
+pub use rng::WorkloadRng;

@@ -6,19 +6,13 @@
 //! pair must produce the identical program on every host and toolchain,
 //! which a fully specified in-repo generator guarantees.
 //!
-//! Two lane-parallel forms ride on the same algorithm
-//! (`crates/workload/tests/wide_rng.rs` proves both bit-identical to the
-//! scalar stream):
-//!
-//! * [`WorkloadRng::next_block`] — the next `k` outputs of *one* stream,
-//!   computed lane-parallel. splitmix64 advances its state by a fixed
-//!   odd gamma per draw, so the `i`-th upcoming output is a pure
-//!   function `mix(state + i·GAMMA)` of the current state: a block of
-//!   consecutive outputs has no loop-carried dependence and the
-//!   autovectorizer can lower the per-lane mix to SIMD.
-//! * [`WideRng`] — `L` *independent* streams advanced in lockstep, one
-//!   array of states mixed per call; lane `i` is bit-identical to a
-//!   scalar [`WorkloadRng`] seeded with lane `i`'s seed.
+//! [`WorkloadRng::next_block`] is a lane-parallel form of the same
+//! stream (`crates/workload/tests/wide_rng.rs` proves it bit-identical
+//! to scalar draws): the next `k` outputs of one stream. splitmix64
+//! advances its state by a fixed odd gamma per draw, so the `i`-th
+//! upcoming output is a pure function `mix(state + i·GAMMA)` of the
+//! current state: a block of consecutive outputs has no loop-carried
+//! dependence and the autovectorizer can lower the per-lane mix to SIMD.
 
 /// splitmix64's fixed odd state increment (2⁶⁴/φ, Weyl sequence).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -110,44 +104,6 @@ impl WorkloadRng {
     }
 }
 
-/// `L` independent splitmix64 streams advanced in lockstep: one call
-/// steps every lane's state and mixes them as an array (no cross-lane
-/// dependence, so the loop autovectorizes). Lane `i` emits exactly the
-/// stream of `WorkloadRng::seed_from_u64(seeds[i])`.
-#[derive(Clone, Debug)]
-pub struct WideRng<const L: usize> {
-    states: [u64; L],
-}
-
-impl<const L: usize> WideRng<L> {
-    /// One stream per seed.
-    pub fn from_seeds(seeds: [u64; L]) -> Self {
-        WideRng { states: seeds }
-    }
-
-    /// Streams seeded `base, base+1, …, base+L-1` — the workload
-    /// convention (thread `i` of a mix uses `seed + i`).
-    pub fn seed_offsets(base: u64) -> Self {
-        let mut states = [0u64; L];
-        for (i, s) in states.iter_mut().enumerate() {
-            *s = base.wrapping_add(i as u64);
-        }
-        WideRng { states }
-    }
-
-    /// Advances every lane one draw and returns the `L` outputs.
-    pub fn next_lanes(&mut self) -> [u64; L] {
-        let mut out = [0u64; L];
-        for s in self.states.iter_mut() {
-            *s = s.wrapping_add(GAMMA);
-        }
-        for (dst, s) in out.iter_mut().zip(self.states) {
-            *dst = mix(s);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,17 +160,5 @@ mod tests {
             assert_eq!(v, scalar.next_u64());
         }
         assert_eq!(wide.next_u64(), scalar.next_u64(), "state resumes");
-    }
-
-    #[test]
-    fn wide_lanes_match_scalars() {
-        let mut wide = WideRng::<4>::seed_offsets(100);
-        let mut scalars: Vec<WorkloadRng> = (100..104).map(WorkloadRng::seed_from_u64).collect();
-        for _ in 0..64 {
-            let lanes = wide.next_lanes();
-            for (lane, s) in lanes.iter().zip(scalars.iter_mut()) {
-                assert_eq!(*lane, s.next_u64());
-            }
-        }
     }
 }

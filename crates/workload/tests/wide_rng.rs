@@ -1,16 +1,13 @@
 //! Bit-identity of the lane-parallel RNG and image-generation paths
-//! against their scalar oracles (ISSUE 10 satellite 3).
+//! against their scalar oracles.
 //!
 //! * [`WorkloadRng::next_block`] must emit exactly the scalar stream
 //!   for every block length (full lanes, remainders, empty) and for
 //!   adversarial seeds.
-//! * [`WideRng`] lane `i` must emit exactly the scalar stream seeded
-//!   with lane `i`'s seed, for every lane count used and for seed
-//!   offsets (the workload convention `seed + thread_index`).
 //! * [`ThreadImage::generate_wide`] must produce a bit-identical image
 //!   to [`ThreadImage::generate`] for every benchmark and seed tried.
 
-use rat_workload::{ThreadImage, WideRng, WorkloadRng, ALL_BENCHMARKS};
+use rat_workload::{ThreadImage, WorkloadRng, ALL_BENCHMARKS};
 
 const SEEDS: [u64; 6] = [0, 1, 42, 0xDEAD_BEEF, u64::MAX - 3, u64::MAX];
 
@@ -45,46 +42,6 @@ fn next_block_interleaves_with_scalar_draws() {
             assert_eq!(v, scalar.next_u64());
         }
         assert_eq!(blocked.next_u64(), scalar.next_u64());
-    }
-}
-
-fn assert_lanes_match<const L: usize>(seeds: [u64; L]) {
-    let mut wide = WideRng::<L>::from_seeds(seeds);
-    let mut scalars: Vec<WorkloadRng> = seeds
-        .iter()
-        .map(|&s| WorkloadRng::seed_from_u64(s))
-        .collect();
-    for draw in 0..256 {
-        let lanes = wide.next_lanes();
-        for (lane, (v, s)) in lanes.iter().zip(scalars.iter_mut()).enumerate() {
-            let _ = lane;
-            assert_eq!(*v, s.next_u64(), "lane {lane} draw {draw}");
-        }
-    }
-}
-
-#[test]
-fn wide_rng_every_lane_count_matches_scalar() {
-    assert_lanes_match::<1>([7]);
-    assert_lanes_match::<2>([0, u64::MAX]);
-    assert_lanes_match::<4>([1, 2, 3, 4]);
-    assert_lanes_match::<8>([10, 20, 30, 40, 50, 60, 70, 80]);
-    assert_lanes_match::<16>(std::array::from_fn(|i| 0x5eed + 3 * i as u64));
-}
-
-#[test]
-fn wide_rng_seed_offsets_match_thread_convention() {
-    for &base in &SEEDS {
-        let mut wide = WideRng::<4>::seed_offsets(base);
-        let mut scalars: Vec<WorkloadRng> = (0..4)
-            .map(|i| WorkloadRng::seed_from_u64(base.wrapping_add(i)))
-            .collect();
-        for _ in 0..64 {
-            let lanes = wide.next_lanes();
-            for (v, s) in lanes.iter().zip(scalars.iter_mut()) {
-                assert_eq!(*v, s.next_u64());
-            }
-        }
     }
 }
 

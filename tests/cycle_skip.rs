@@ -29,8 +29,8 @@ fn quick(no_skip: bool) -> RunConfig {
         max_cycles: 100_000_000,
         seed: 42,
         no_skip,
-        no_replay: false,
         no_drain: false,
+        ..RunConfig::default()
     }
 }
 
@@ -117,8 +117,8 @@ fn truncated_runs_are_bit_identical_too() {
         max_cycles: 20_000,
         seed: 42,
         no_skip,
-        no_replay: false,
         no_drain: false,
+        ..RunConfig::default()
     };
     let skip =
         Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Icount);

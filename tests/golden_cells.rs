@@ -5,7 +5,11 @@
 //! travels as its exact bits and each line carries a checksum) per
 //! cell: the first Table 2 mix of each workload group under every
 //! policy, at a short quota, through the production sweep path
-//! ([`run_cells`]). Any change that moves a simulated number — in the
+//! ([`run_cells`]), followed by two squash-heavy cells the group sweep
+//! does not reach — the second MEM4 mix under FLUSH (partial rewinds to
+//! surviving in-flight instructions) and a MEM4 RaT run truncated by
+//! `max_cycles` mid-flight (the replay cursor may sit below the
+//! execution frontier when the clock stops). Any change that moves a simulated number — in the
 //! pipeline, the memory hierarchy, the predictor, the workload
 //! generator or the sweep plumbing — fails here.
 //!
@@ -16,7 +20,7 @@
 use rat_bench::{run_cells, SweepCell, SweepSession};
 use rat_core::smt::{PolicyKind, SmtConfig};
 use rat_core::store::{encode_result, format_record_line};
-use rat_core::workload::{mixes_for_group, ALL_GROUPS};
+use rat_core::workload::{mixes_for_group, WorkloadGroup, ALL_GROUPS};
 use rat_core::{CellKey, RunConfig, Runner};
 
 const GOLDEN: &str = include_str!("golden/cells.txt");
@@ -42,6 +46,17 @@ fn recompute() -> String {
             ..RunConfig::default()
         },
     );
+    let truncated = Runner::new(
+        SmtConfig::hpca2008_baseline(),
+        RunConfig {
+            insts_per_thread: 10_000_000, // unreachable: forces truncation
+            warmup_insts: 200,
+            max_cycles: 20_000,
+            seed: 42,
+            ..RunConfig::default()
+        },
+    );
+    let mem4 = mixes_for_group(WorkloadGroup::Mem4);
     let mut cells = Vec::new();
     for &group in ALL_GROUPS {
         let mix = mixes_for_group(group).swap_remove(0);
@@ -53,15 +68,25 @@ fn recompute() -> String {
             });
         }
     }
+    cells.push(SweepCell {
+        runner: &runner,
+        mix: mem4[1].clone(),
+        policy: PolicyKind::Flush,
+    });
+    cells.push(SweepCell {
+        runner: &truncated,
+        mix: mem4[0].clone(),
+        policy: PolicyKind::Rat,
+    });
     let report = run_cells(&cells, 2, &SweepSession::none());
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     let mut out = String::new();
     for (cell, result) in cells.iter().zip(&report.results) {
         let key = CellKey::new(
-            runner.config_fingerprint(),
+            cell.runner.config_fingerprint(),
             &cell.mix,
             cell.policy,
-            runner.run_config().seed,
+            cell.runner.run_config().seed,
         );
         let words = encode_result(result.as_ref().expect("no failures"));
         out.push_str(&format_record_line(&key, &words));

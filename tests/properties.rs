@@ -39,52 +39,6 @@ fn memory_read_your_writes() {
     }
 }
 
-/// An undo episode restores memory exactly, no matter the writes.
-#[test]
-fn memory_undo_restores_everything() {
-    for case in 0..64u64 {
-        let mut rng = WorkloadRng::seed_from_u64(0x5EED_0002 + case);
-        let mut m = SparseMemory::new();
-        let base: Vec<(u64, u64)> = (0..rand_len(&mut rng, 1, 32))
-            .map(|_| (rng.below(1 << 16) & !7, rng.next_u64()))
-            .collect();
-        for &(addr, val) in &base {
-            m.write_u64(addr, val);
-        }
-        let snapshot: Vec<(u64, u64)> = base.iter().map(|&(a, _)| (a, m.read_u64(a))).collect();
-        let tok = m.begin_undo();
-        for _ in 0..rand_len(&mut rng, 1, 32) {
-            let addr = rng.below(1 << 16) & !7;
-            m.write_u64(addr, rng.next_u64());
-        }
-        m.rollback(tok);
-        for (addr, val) in snapshot {
-            assert_eq!(m.read_u64(addr), val, "case {case} addr {addr:#x}");
-        }
-    }
-}
-
-/// Journal rollback to sequence 0 is a full undo.
-#[test]
-fn journal_rollback_to_zero_restores() {
-    for case in 0..64u64 {
-        let mut rng = WorkloadRng::seed_from_u64(0x5EED_0003 + case);
-        let writes: Vec<(u64, u64)> = (0..rand_len(&mut rng, 1, 48))
-            .map(|_| (rng.below(1 << 16) & !7, rng.next_u64()))
-            .collect();
-        let mut m = SparseMemory::new();
-        m.enable_journal();
-        for (i, &(addr, val)) in writes.iter().enumerate() {
-            m.journal_set_seq(i as u64);
-            m.write_u64(addr, val);
-        }
-        m.journal_rollback(0);
-        for &(addr, _) in &writes {
-            assert_eq!(m.read_u64(addr), 0, "case {case} addr {addr:#x}");
-        }
-    }
-}
-
 // ---- caches ----
 
 /// After a fill completes, probing the same line at a later time hits.

@@ -1,140 +1,23 @@
-//! Fetch-replay equivalence suite: the seq-indexed replay buffer in the
-//! fetch oracle must be a pure wall-clock optimization. For every
-//! workload class and every policy, a replay-enabled run and a
-//! `--no-replay` run must produce **bit-identical** `MixResult`s — same
-//! IPC bits, same cycle counts, same contention counters, same
-//! per-thread statistics.
+//! Fetch-replay checks: the fetch oracle serves every re-fetch after a
+//! squash (runahead exit, FLUSH) from its record buffer, and what the
+//! pipeline copied out of those records must stay consistent with them.
 //!
-//! The property under test: the oracle is deterministic over private
-//! state, so every record fetched past a squash point (runahead episode
-//! or FLUSH) is bit-identical to what post-squash functional
-//! re-execution would recompute — serving it from the buffer (and never
-//! rolling back or re-recording the memory write journal) must be
-//! invisible to the simulated machine. If any of these fail, a served
-//! record diverged from re-execution (or the eager-rewind ablation path
-//! rotted).
+//! The squash-heavy runs below step the simulator in short slices and
+//! call [`SmtSimulator::check_invariants`] after each one. Beyond the
+//! structural invariants, that check resolves every in-flight fetch-
+//! buffer and ROB entry against the oracle's record for its sequence
+//! number (PC, branch direction, effective address), so a rewind that
+//! lands the cursor on the wrong record, or a replayed fetch that
+//! disagrees with its first execution, fails here. The simulated
+//! numbers of the same two runs are pinned in `tests/golden/cells.txt`.
 
 use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup};
-use rat_core::{MixResult, RunConfig, Runner};
 
-const ALL_POLICIES: [PolicyKind; 7] = [
-    PolicyKind::RoundRobin,
-    PolicyKind::Icount,
-    PolicyKind::Stall,
-    PolicyKind::Flush,
-    PolicyKind::Dcra,
-    PolicyKind::Hill,
-    PolicyKind::Rat,
-];
+/// Cycles between invariant checks.
+const SLICE: u64 = 500;
 
-fn quick(no_replay: bool) -> RunConfig {
-    RunConfig {
-        insts_per_thread: 1_500,
-        warmup_insts: 700,
-        max_cycles: 100_000_000,
-        seed: 42,
-        no_skip: false,
-        no_replay,
-        no_drain: false,
-    }
-}
-
-/// Every observable field of a `MixResult`, bit-exactly. Floats go
-/// through `to_bits`; the counter structs are all integers, so their
-/// `Debug` form is exact.
-fn fingerprint(r: &MixResult) -> String {
-    let ipc_bits: Vec<u64> = r.ipcs.iter().map(|i| i.to_bits()).collect();
-    format!(
-        "ipcs={ipc_bits:?} executed={} cycles={} complete={} mem_events={:?} threads={:?}",
-        r.executed_insts, r.cycles, r.complete, r.mem_events, r.thread_stats
-    )
-}
-
-fn run_pair(mix: &Mix, policy: PolicyKind) -> (MixResult, MixResult) {
-    let replaying = Runner::new(SmtConfig::hpca2008_baseline(), quick(false)).run_mix(mix, policy);
-    let eager = Runner::new(SmtConfig::hpca2008_baseline(), quick(true)).run_mix(mix, policy);
-    (replaying, eager)
-}
-
-#[test]
-fn ilp4_bit_identical_under_all_policies() {
-    let mix = &mixes_for_group(WorkloadGroup::Ilp4)[0];
-    for policy in ALL_POLICIES {
-        let (fast, slow) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&fast),
-            fingerprint(&slow),
-            "{mix} under {policy}: replay-enabled and --no-replay runs diverged"
-        );
-    }
-}
-
-#[test]
-fn mem4_bit_identical_under_all_policies() {
-    let mix = &mixes_for_group(WorkloadGroup::Mem4)[0];
-    for policy in ALL_POLICIES {
-        let (fast, slow) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&fast),
-            fingerprint(&slow),
-            "{mix} under {policy}: replay-enabled and --no-replay runs diverged"
-        );
-    }
-}
-
-#[test]
-fn mix4_bit_identical_under_all_policies() {
-    let mix = &mixes_for_group(WorkloadGroup::Mix4)[0];
-    for policy in ALL_POLICIES {
-        let (fast, slow) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&fast),
-            fingerprint(&slow),
-            "{mix} under {policy}: replay-enabled and --no-replay runs diverged"
-        );
-    }
-}
-
-#[test]
-fn truncated_runs_are_bit_identical_too() {
-    // A truncated run ends mid-flight — possibly mid-squash, with the
-    // replay cursor below the frontier — so the quota/cycle accounting
-    // must match wherever the clock stops.
-    let mix = &mixes_for_group(WorkloadGroup::Mem4)[0];
-    let mk = |no_replay| RunConfig {
-        insts_per_thread: 10_000_000, // unreachable: forces truncation
-        warmup_insts: 200,
-        max_cycles: 20_000,
-        seed: 42,
-        no_skip: false,
-        no_replay,
-        no_drain: false,
-    };
-    let fast = Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Rat);
-    let slow = Runner::new(SmtConfig::hpca2008_baseline(), mk(true)).run_mix(mix, PolicyKind::Rat);
-    assert!(!fast.complete, "run must actually truncate");
-    assert_eq!(fingerprint(&fast), fingerprint(&slow));
-}
-
-#[test]
-fn flush_squash_heavy_case_is_bit_identical() {
-    // FLUSH on the memory-bound group squashes constantly — the
-    // partial-rewind path (rewind to a surviving in-flight instruction,
-    // not the commit point) that runahead exits never exercise.
-    let mix = &mixes_for_group(WorkloadGroup::Mem4)[1];
-    let (fast, slow) = run_pair(mix, PolicyKind::Flush);
-    assert!(
-        fast.thread_stats.iter().any(|t| t.flushes > 0),
-        "case must actually flush"
-    );
-    assert_eq!(fingerprint(&fast), fingerprint(&slow));
-}
-
-/// Builds a bare simulator over one MEM4 mix (to read `SimStats`
-/// diagnostics that `MixResult` does not carry).
-fn build_sim(policy: PolicyKind, replay: bool) -> SmtSimulator {
-    let mix = &mixes_for_group(WorkloadGroup::Mem4)[0];
+fn build_sim(mix: &Mix, policy: PolicyKind) -> SmtSimulator {
     let mut cfg = SmtConfig::hpca2008_baseline();
     cfg.policy = policy;
     let cpus = mix
@@ -143,17 +26,43 @@ fn build_sim(policy: PolicyKind, replay: bool) -> SmtSimulator {
         .enumerate()
         .map(|(i, &b)| ThreadImage::generate(b, 42 + i as u64).build_cpu())
         .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
-    sim.set_fetch_replay(replay);
-    sim
+    SmtSimulator::new(cfg, cpus)
+}
+
+/// Runs one phase toward `quota` in [`SLICE`]-cycle steps, checking
+/// the invariants after every step, until the quota is reached or
+/// `max_cycles` elapse. Returns whether the quota was reached.
+fn run_checked(sim: &mut SmtSimulator, quota: u64, max_cycles: u64) -> bool {
+    let mut left = max_cycles;
+    while left > 0 {
+        let slice = SLICE.min(left);
+        let reached = sim.run_until_quota(quota, slice);
+        sim.check_invariants();
+        if reached {
+            return true;
+        }
+        left -= slice;
+    }
+    false
+}
+
+/// Warmup, stats reset and a drained measurement window, as a sweep
+/// cell runs them, with invariant checks throughout. Returns whether
+/// the measurement quota was reached.
+fn run_cell_checked(sim: &mut SmtSimulator, warmup: u64, insts: u64, max_cycles: u64) -> bool {
+    run_checked(sim, warmup, max_cycles);
+    sim.reset_stats();
+    sim.check_invariants();
+    sim.set_quota_drain(true);
+    run_checked(sim, insts, max_cycles)
 }
 
 #[test]
 fn rat_actually_replays_a_large_fraction_of_fetches() {
-    // The equivalence tests would pass vacuously if the buffer never
+    // The records checks would pass vacuously if the buffer never
     // served anything; under RaT every episode's span is re-fetched, so
     // a large share of all fetches must come from the buffer.
-    let mut sim = build_sim(PolicyKind::Rat, true);
+    let mut sim = build_sim(&mixes_for_group(WorkloadGroup::Mem4)[0], PolicyKind::Rat);
     sim.run_until_quota(3_000, 100_000_000);
     let replayed = sim.stats().fetch_replays;
     let fetched: u64 = sim.stats().threads.iter().map(|t| t.fetched).sum();
@@ -164,8 +73,24 @@ fn rat_actually_replays_a_large_fraction_of_fetches() {
 }
 
 #[test]
-fn disabled_replay_never_serves_from_buffer() {
-    let mut sim = build_sim(PolicyKind::Rat, false);
-    sim.run_until_quota(1_000, 100_000_000);
-    assert_eq!(sim.stats().fetch_replays, 0);
+fn flush_squash_heavy_case_keeps_records_aligned() {
+    // FLUSH on the memory-bound group squashes constantly — the
+    // partial-rewind path (rewind to a surviving in-flight instruction,
+    // not the commit point) that runahead exits never exercise.
+    let mut sim = build_sim(&mixes_for_group(WorkloadGroup::Mem4)[1], PolicyKind::Flush);
+    assert!(run_cell_checked(&mut sim, 700, 1_500, 100_000_000));
+    assert!(
+        sim.stats().threads.iter().any(|t| t.flushes > 0),
+        "case must actually flush"
+    );
+    assert!(sim.stats().fetch_replays > 0, "flushes must re-fetch");
+}
+
+#[test]
+fn truncated_runs_keep_records_aligned() {
+    // A truncated run ends mid-flight — possibly mid-squash, with the
+    // replay cursor below the execution frontier.
+    let mut sim = build_sim(&mixes_for_group(WorkloadGroup::Mem4)[0], PolicyKind::Rat);
+    let complete = run_cell_checked(&mut sim, 200, 10_000_000, 20_000);
+    assert!(!complete, "run must actually truncate");
 }
