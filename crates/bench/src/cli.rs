@@ -9,11 +9,12 @@ use rat_smt::PolicyKind;
 /// `--mixes N` (mixes per group), `--seed N`, `--threads N` (simulation
 /// worker threads, 0 = all cores, 1 = serial), `--csv` (machine-readable
 /// output for plotting), `--st-cache PATH` (persist single-thread
-/// reference IPCs across invocations), `--no-skip` (step every cycle —
-/// the cycle-skipping ablation), `--no-drain` (keep every
-/// thread at full fidelity past its quota — the FAME-overshoot
-/// ablation), `--cell-timeout SECS` (wall-clock watchdog per sweep
-/// cell), `--quick` (tiny preset).
+/// reference IPCs across invocations), `--cell-timeout SECS`
+/// (wall-clock watchdog per sweep cell), `--quick` (tiny preset).
+///
+/// The cycle-skipping and post-quota drain ablations are not flags:
+/// they are the [`RunConfig::no_skip`] and [`RunConfig::no_drain`]
+/// fields, set by the equivalence tests that use them as references.
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Per-thread committed-instruction quota for measurement.
@@ -32,15 +33,6 @@ pub struct HarnessArgs {
     /// Persist the single-thread reference IPC cache at this path, so
     /// repeated invocations skip the ST reference simulations.
     pub st_cache: Option<String>,
-    /// Disable event-driven cycle skipping (wall-clock ablation; the
-    /// simulated numbers are bit-identical either way).
-    pub no_skip: bool,
-    /// Disable post-quota drain mode (the paper's literal FAME
-    /// procedure: every thread runs at full fidelity until the slowest
-    /// reaches its quota). Per-thread measurement windows are
-    /// bit-identical either way; post-overlap shared-resource timing
-    /// drifts within the bound measured by `tests/quota_drain.rs`.
-    pub no_drain: bool,
     /// Journal path for the crash-safe result store: completed cells
     /// persist here the moment they finish, and a re-invocation with the
     /// same path replays them and recomputes only missing/failed cells —
@@ -71,8 +63,6 @@ impl Default for HarnessArgs {
             threads: 0,
             csv: false,
             st_cache: None,
-            no_skip: false,
-            no_drain: false,
             resume: None,
             fault_plan: None,
             cell_timeout: None,
@@ -109,8 +99,6 @@ impl HarnessArgs {
                             .unwrap_or_else(|| panic!("expected a path after --st-cache")),
                     );
                 }
-                "--no-skip" => out.no_skip = true,
-                "--no-drain" => out.no_drain = true,
                 "--resume" => {
                     out.resume = Some(
                         args.next()
@@ -166,8 +154,7 @@ impl HarnessArgs {
                          --resume PATH (crash-safe result journal; replay + recompute)  \
                          --fault-plan SPEC (panic@C,flip@R,torn@R,enospc@R or seed:N)  \
                          --cell-timeout SECS (abandon a cell still simulating after SECS)  \
-                         --policies A,B,.. (restrict the policy set)  \
-                         --no-skip  --no-drain  --quick"
+                         --policies A,B,.. (restrict the policy set)  --quick"
                     );
                     std::process::exit(0);
                 }
@@ -203,8 +190,6 @@ impl HarnessArgs {
             insts_per_thread: self.insts,
             warmup_insts: self.warmup,
             seed: self.seed,
-            no_skip: self.no_skip,
-            no_drain: self.no_drain,
             ..RunConfig::default()
         }
     }
@@ -221,8 +206,6 @@ mod tests {
         assert_eq!(a.mixes, 0);
         assert_eq!(a.threads, 0, "default uses all cores");
         assert!(a.st_cache.is_none());
-        assert!(!a.no_skip);
-        assert!(!a.no_drain, "drain mode is on by default");
     }
 
     #[test]
@@ -264,17 +247,21 @@ mod tests {
     }
 
     #[test]
-    fn st_cache_and_no_skip_flags() {
-        let a = HarnessArgs::parse(
-            ["--st-cache", "/tmp/st.txt", "--no-skip", "--no-drain"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+    fn st_cache_flag() {
+        let a = HarnessArgs::parse(["--st-cache", "/tmp/st.txt"].iter().map(|s| s.to_string()));
         assert_eq!(a.st_cache.as_deref(), Some("/tmp/st.txt"));
-        assert!(a.no_skip);
-        assert!(a.run_config().no_skip);
-        assert!(a.no_drain);
-        assert!(a.run_config().no_drain);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument --no-skip")]
+    fn no_skip_is_not_a_flag() {
+        HarnessArgs::parse(["--no-skip"].iter().map(|s| s.to_string()));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument --no-drain")]
+    fn no_drain_is_not_a_flag() {
+        HarnessArgs::parse(["--no-drain"].iter().map(|s| s.to_string()));
     }
 
     #[test]
@@ -341,6 +328,8 @@ mod tests {
         assert_eq!(rc.insts_per_thread, 123);
         assert_eq!(rc.warmup_insts, 45);
         assert_eq!(rc.seed, 6);
-        assert!(!rc.no_skip);
+        // The ablation switches are not exposed: a figure run always
+        // skips idle cycles and drains past the quota.
+        assert!(!rc.no_skip && !rc.no_drain);
     }
 }

@@ -181,8 +181,8 @@ impl SparseMemory {
         self.page_map.len()
     }
 
-    /// Number of resident 64-bit words (whole touched pages). Sizes the
-    /// generator-throughput cells in perfbench.
+    /// Number of resident 64-bit words (whole touched pages): the size
+    /// of an initialized memory image.
     pub fn resident_words(&self) -> usize {
         self.page_map.len() * PAGE_WORDS
     }

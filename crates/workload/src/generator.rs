@@ -74,8 +74,8 @@ impl ThreadImage {
     }
 
     /// Number of resident 64-bit words in the initialized memory image
-    /// (whole touched pages) — the work unit the perfbench generator
-    /// cells report throughput over.
+    /// (whole touched pages) — the work unit image-generation throughput
+    /// is reported over.
     pub fn memory_words(&self) -> u64 {
         self.memory.resident_words() as u64
     }
